@@ -68,18 +68,11 @@ def community_table(
     return out.orderBy("community")
 
 
-def intra_community_share(assignment: DataFrame, trips: DataFrame) -> float:
+def intra_community_share(table: DataFrame) -> float:
     """Fraction of trips that start and end in the same community
-    (the paper's ~74% self-containment headline for G_Basic)."""
-    c_src = assignment.select(
-        F.col("group_id").alias("src_group"), F.col("community").alias("c_src")
-    )
-    c_dst = assignment.select(
-        F.col("group_id").alias("dst_group"), F.col("community").alias("c_dst")
-    )
-    t = trips.join(c_src, "src_group").join(c_dst, "dst_group")
-    row = t.agg(
-        F.count(F.lit(1)).alias("n"),
-        F.sum(F.when(F.col("c_src") == F.col("c_dst"), 1).otherwise(0)).alias("w"),
-    ).collect()[0]
-    return float(row["w"]) / float(row["n"]) if row["n"] else 0.0
+    (the paper's ~74% self-containment headline for G_Basic), from a
+    :func:`community_table`: every trip is within or out of exactly one
+    community."""
+    row = table.agg(F.sum("trips_within"), F.sum("trips_out")).collect()[0]
+    within, out = (v or 0 for v in row)
+    return within / (within + out) if within + out else 0.0

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from pyspark.sql import Column, DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -66,26 +66,20 @@ def cell_size_deg(eps_m: float, ref_lat_deg: float) -> tuple[float, float]:
     return dlat, dlon
 
 
-def with_grid_cell(
-    df: DataFrame,
-    *,
-    lat_col: str = "lat",
-    lon_col: str = "lon",
-    eps_m: float,
-    ref_lat_deg: float = 54.0,
-    out_prefix: str = "cell",
-) -> DataFrame:
-    """Attach integer grid coordinates ``<prefix>_i``/``<prefix>_j``.
+def with_grid_cell(df: DataFrame, *, eps_m: float) -> DataFrame:
+    """Attach integer grid coordinates ``cell_i``/``cell_j`` from the
+    ``lat``/``lon`` columns.
 
     Cell side is >= eps in both axes, so eps-neighbours are always in the
     same cell or one of the 8 adjacent cells — the basis for the distributed
-    eps-proximity join in :mod:`repro.hac.proximity`.
+    eps-proximity join in :mod:`repro.hac.proximity`. The longitude side is
+    sized at 54°N, north of all of Dublin, so the bound holds there.
     """
-    dlat, dlon = cell_size_deg(eps_m, ref_lat_deg)
+    dlat, dlon = cell_size_deg(eps_m, ref_lat_deg=54.0)
     return df.withColumn(
-        f"{out_prefix}_i", F.floor(F.col(lat_col) / F.lit(dlat)).cast("long")
+        "cell_i", F.floor(F.col("lat") / F.lit(dlat)).cast("long")
     ).withColumn(
-        f"{out_prefix}_j", F.floor(F.col(lon_col) / F.lit(dlon)).cast("long")
+        "cell_j", F.floor(F.col("lon") / F.lit(dlon)).cast("long")
     )
 
 
@@ -93,15 +87,13 @@ def nearest_station(
     points: DataFrame,
     stations: DataFrame,
     *,
-    point_id: str = "location_id",
-    station_id: str = "station_id",
     out_col: str = "nearest_station_id",
 ) -> DataFrame:
     """Assign every point to its nearest station (Haversine argmin).
 
-    ``points`` needs ``(point_id, lat, lon)``; ``stations`` needs
+    ``points`` needs ``(location_id, lat, lon)``; ``stations`` needs
     ``(station_id, lat, lon)``. The station table is tiny (92–238 rows in
-    the paper), so we explicitly broadcast it — the session fixture disables
+    the paper), so we explicitly broadcast it — the Spark session disables
     automatic broadcast to exercise shuffles elsewhere, but a 238-row
     dimension table is the textbook broadcast case.
 
@@ -110,25 +102,20 @@ def nearest_station(
     """
     st = F.broadcast(
         stations.select(
-            F.col(station_id).alias("__st_id"),
+            F.col("station_id").alias("__st_id"),
             F.col("lat").alias("__st_lat"),
             F.col("lon").alias("__st_lon"),
         )
     )
     d = haversine_col(F.col("lat"), F.col("lon"), F.col("__st_lat"), F.col("__st_lon"))
     joined = points.crossJoin(st).withColumn("__dist", d)
-    best = joined.groupBy(point_id).agg(
+    best = joined.groupBy("location_id").agg(
         F.min(F.struct(F.col("__dist"), F.col("__st_id"))).alias("__best")
     )
     return (
-        points.join(best, on=point_id)
+        points.join(best, on="location_id")
         .withColumn(out_col, F.col("__best.__st_id"))
         .withColumn(f"{out_col}_dist_m", F.col("__best.__dist"))
         .drop("__best")
     )
 
-
-def assert_session(spark: SparkSession) -> None:
-    """Cheap guard used by pipeline entry points."""
-    if spark is None:  # pragma: no cover - defensive
-        raise ValueError("a SparkSession is required")

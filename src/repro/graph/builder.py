@@ -82,47 +82,36 @@ class GraphStats:
 
 def graph_stats(trips: DataFrame) -> GraphStats:
     """Count nodes/edges/trips of the (multi)graph induced by ``trips``
-    (columns ``src_group``/``dst_group``), with and without self-loops."""
-    pairs = trips.groupBy("src_group", "dst_group").count().cache()
-    directed = pairs.count()
-    loops = pairs.filter(F.col("src_group") == F.col("dst_group")).count()
-    undirected = (
-        pairs.select(
-            F.least("src_group", "dst_group").alias("a"),
-            F.greatest("src_group", "dst_group").alias("b"),
+    (columns ``src_group``/``dst_group``), with and without self-loops.
+
+    Edges and trips come from one aggregation over the directed pair
+    table. A loop pair ``(a, a)`` is one edge in both the directed and the
+    undirected view, so one loop count serves both "no loops" measures.
+    """
+    src, dst = F.col("src_group"), F.col("dst_group")
+    e = (
+        trips.groupBy(src, dst)
+        .agg(F.count(F.lit(1)).alias("trips"))
+        .agg(
+            F.count(F.lit(1)).alias("directed"),
+            F.count_if(src == dst).alias("loops"),
+            F.count_distinct(F.least(src, dst), F.greatest(src, dst)).alias("undirected"),
+            F.sum("trips").alias("trips"),
         )
-        .distinct()
-        .count()
-    )
-    undirected_loops = (
-        pairs.filter(F.col("src_group") == F.col("dst_group"))
-        .select("src_group").distinct().count()
+        .collect()[0]
     )
     nodes = (
-        trips.select(F.col("src_group").alias("g"))
-        .unionByName(trips.select(F.col("dst_group").alias("g")))
+        trips.select(src.alias("g")).unionByName(trips.select(dst.alias("g")))
         .distinct()
         .count()
     )
-    n_trips = trips.count()
-    pairs.unpersist()
     return GraphStats(
         n_nodes=nodes,
-        undirected_edges=undirected,
-        undirected_edges_no_loops=undirected - undirected_loops,
-        directed_edges=directed,
-        directed_edges_no_loops=directed - loops,
-        n_trips=n_trips,
-    )
-
-
-def directed_weighted_edges(trips: DataFrame) -> DataFrame:
-    """Directed aggregated edges ``(src, dst, weight=#trips)``."""
-    return (
-        trips.groupBy(
-            F.col("src_group").alias("src"), F.col("dst_group").alias("dst")
-        )
-        .agg(F.count(F.lit(1)).cast("double").alias("weight"))
+        undirected_edges=e["undirected"],
+        undirected_edges_no_loops=e["undirected"] - e["loops"],
+        directed_edges=e["directed"],
+        directed_edges_no_loops=e["directed"] - e["loops"],
+        n_trips=e["trips"] or 0,
     )
 
 

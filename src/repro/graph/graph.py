@@ -5,9 +5,7 @@ distributed-dataflow graph. GraphFrames is not available offline, so this
 module provides the minimal property-graph layer the pipeline needs:
 
 - :class:`Graph` — ``vertices (id, ...)`` + ``edges (src, dst, weight, ...)``
-- degree / weighted-degree computations
 - symmetrisation (the paper's graphs are bidirectional)
-- ``aggregate_messages`` (see :mod:`repro.graph.aggregate`)
 - connected components (see :mod:`repro.graph.components`)
 
 Conventions
@@ -48,14 +46,6 @@ class Graph:
         if missing:
             raise ValueError(f"edges missing columns: {sorted(missing)}")
 
-    # -- structure -----------------------------------------------------
-
-    def num_vertices(self) -> int:
-        return self.vertices.count()
-
-    def num_edges(self) -> int:
-        return self.edges.count()
-
     def symmetrize(self) -> "Graph":
         """Return the symmetric (bidirectional) form of this graph.
 
@@ -83,45 +73,6 @@ class Graph:
         loop = loops.groupBy(SRC).agg(F.sum(WEIGHT).alias(WEIGHT)).withColumn(DST, F.col(SRC))
         sym = fwd.unionByName(bwd).unionByName(loop.select(SRC, DST, WEIGHT))
         return Graph(self.vertices, sym)
-
-    # -- degrees ---------------------------------------------------------
-
-    def out_degrees(self, *, weighted: bool = False) -> DataFrame:
-        """Out-degree per vertex as ``(id, degree)``; vertices with no
-        out-edges get 0."""
-        agg = F.sum(WEIGHT) if weighted else F.count(F.lit(1))
-        d = self.edges.groupBy(F.col(SRC).alias("id")).agg(agg.alias("degree"))
-        return (
-            self.vertices.select("id")
-            .join(d, "id", "left")
-            .fillna({"degree": 0})
-        )
-
-    def in_degrees(self, *, weighted: bool = False) -> DataFrame:
-        agg = F.sum(WEIGHT) if weighted else F.count(F.lit(1))
-        d = self.edges.groupBy(F.col(DST).alias("id")).agg(agg.alias("degree"))
-        return (
-            self.vertices.select("id")
-            .join(d, "id", "left")
-            .fillna({"degree": 0})
-        )
-
-    def degrees(self, *, weighted: bool = False) -> DataFrame:
-        """Total degree = in + out (self-loops therefore count twice,
-        matching the undirected convention on a symmetric graph)."""
-        w = F.col(WEIGHT) if weighted else F.lit(1)
-        ends = self.edges.select(F.col(SRC).alias("id"), w.alias("w")).unionByName(
-            self.edges.select(F.col(DST).alias("id"), w.alias("w"))
-        )
-        d = ends.groupBy("id").agg(F.sum("w").alias("degree"))
-        return (
-            self.vertices.select("id")
-            .join(d, "id", "left")
-            .fillna({"degree": 0})
-        )
-
-    def cache(self) -> "Graph":
-        return Graph(self.vertices.cache(), self.edges.cache())
 
 
 def graph_from_edges(edges: DataFrame) -> Graph:

@@ -44,13 +44,7 @@ class CandidateResult:
     groups: DataFrame
 
 
-def build_candidates(
-    locations: DataFrame,
-    stations: DataFrame,
-    *,
-    pre_assign_m: float = PRE_ASSIGN_M,
-    max_diameter_m: float = MAX_DIAMETER_M,
-) -> CandidateResult:
+def build_candidates(locations: DataFrame, stations: DataFrame) -> CandidateResult:
     """Group every cleaned location into a station group or a candidate
     cluster. ``locations``: (location_id, lat, lon); ``stations``:
     (location_id, lat, lon, station_id)."""
@@ -58,17 +52,17 @@ def build_candidates(
     st = stations.select("station_id", "lat", "lon")
 
     near = nearest_station(pts, st, out_col="ns")
-    station_assigned = near.filter(F.col("ns_dist_m") <= pre_assign_m).select(
+    station_assigned = near.filter(F.col("ns_dist_m") <= PRE_ASSIGN_M).select(
         "location_id",
         F.concat(F.lit("S"), F.col("ns").cast("long")).alias("group_id"),
         F.lit("station").alias("kind"),
     )
-    free = near.filter(F.col("ns_dist_m") > pre_assign_m).select(
+    free = near.filter(F.col("ns_dist_m") > PRE_ASSIGN_M).select(
         "location_id", "lat", "lon"
     ).cache()
 
     # eps-components of the free points
-    edges = eps_edges(free, eps_m=max_diameter_m).select(
+    edges = eps_edges(free, eps_m=MAX_DIAMETER_M).select(
         F.col("src"), F.col("dst"), F.lit(1.0).alias("weight")
     )
     verts = free.select(F.col("location_id").alias("id"))
@@ -80,7 +74,7 @@ def build_candidates(
     def _cluster(pdf: pd.DataFrame) -> pd.DataFrame:
         labels = complete_linkage_labels(
             pdf["lat"].to_numpy(), pdf["lon"].to_numpy(),
-            max_diameter_m=max_diameter_m,
+            max_diameter_m=MAX_DIAMETER_M,
         )
         comp_id = int(pdf["component"].iloc[0])
         return pd.DataFrame(

@@ -14,22 +14,12 @@ from pyspark.sql import functions as F
 from repro.geo import haversine_col, with_grid_cell
 
 
-def eps_edges(
-    points: DataFrame,
-    *,
-    eps_m: float,
-    id_col: str = "location_id",
-    lat_col: str = "lat",
-    lon_col: str = "lon",
-) -> DataFrame:
+def eps_edges(points: DataFrame, *, eps_m: float) -> DataFrame:
     """Edges ``(src, dst, dist_m)`` for all unordered pairs within
-    ``eps_m`` metres. ``points`` must have unique ``id_col``."""
+    ``eps_m`` metres. ``points`` has ``(location_id, lat, lon)`` with
+    unique ``location_id``."""
     p = with_grid_cell(
-        points.select(
-            F.col(id_col).alias("id"), F.col(lat_col).alias("lat"),
-            F.col(lon_col).alias("lon"),
-        ),
-        eps_m=eps_m,
+        points.select(F.col("location_id").alias("id"), "lat", "lon"), eps_m=eps_m
     )
     # left side: points in their home cell
     left = p.select(

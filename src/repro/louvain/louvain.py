@@ -43,8 +43,6 @@ undirected non-loop edge in both directions, self-loops once.
 """
 from __future__ import annotations
 
-import sys
-import time
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -66,13 +64,13 @@ class LouvainResult:
     levels: int
 
 
-def index_vertices(vertices: DataFrame, *, id_col: str = "id") -> DataFrame:
+def index_vertices(vertices: DataFrame) -> DataFrame:
     """Deterministic (id -> dense long index) mapping: ``(id, idx)``,
     indices assigned in sorted-id order."""
     from pyspark.sql.window import Window
 
-    w = Window.orderBy(F.col(id_col))
-    return vertices.select(id_col).distinct().withColumn(
+    w = Window.orderBy(F.col("id"))
+    return vertices.select("id").distinct().withColumn(
         "idx", F.row_number().over(w).cast("long") - 1
     )
 
@@ -83,16 +81,10 @@ def louvain(
     tol: float = 1e-7,
     max_local_iter: int = 40,
     max_levels: int = 10,
-    verbose: bool = False,
 ) -> LouvainResult:
     """Run Louvain on the symmetric graph ``g`` and return the final
     assignment of original vertices plus the achieved modularity."""
     spark = g.edges.sparkSession
-
-    def _log(msg: str) -> None:
-        if verbose:
-            print(f"[louvain] {msg} t={time.time():.1f}", file=sys.stderr)
-
     edges = (
         g.edges.select(
             F.col(SRC).cast("long").alias(SRC),
@@ -107,18 +99,13 @@ def louvain(
 
     assign_df = _assign_df(spark, {v: v for v in vids})
     best_q = modularity(Graph(assign_df.select("id"), edges), assign_df)
-    _log(f"initial Q={best_q:.4f}")
     levels = 0
-    for _level in range(max_levels):
-        comm, moved_any = _local_moving(
-            spark, edges, tol=tol, max_iter=max_local_iter, verbose=verbose
-        )
-        _log(f"level {_level} local moving done moved_any={moved_any}")
+    for _ in range(max_levels):
+        comm, moved_any = _local_moving(spark, edges, tol=tol, max_iter=max_local_iter)
         if not moved_any:
             break
         assign_df = _assign_df(spark, comm)
         q = modularity(Graph(assign_df.select("id"), edges), assign_df)
-        _log(f"level {_level} Q={q:.4f}")
         if q <= best_q + tol:
             break
         best_q = q
@@ -126,7 +113,6 @@ def louvain(
         # isolated vertices never enter `comm`; they stay as singletons
         mapping = {orig: comm.get(sup, sup) for orig, sup in mapping.items()}
         edges = _aggregate(edges, assign_df).localCheckpoint()
-        _log(f"level {_level} aggregated")
 
     # Relabel to consecutive ints ordered by minimum member vertex id.
     by_comm: dict = defaultdict(list)
@@ -158,7 +144,6 @@ def _local_moving(
     *,
     tol: float,
     max_iter: int,
-    verbose: bool = False,
 ) -> tuple[dict, bool]:
     """Parallel local-moving phase over the level's vertex set (every id
     appearing in ``edges``). Returns (vertex -> community dict, whether any
@@ -186,7 +171,6 @@ def _local_moving(
     moved_any = False
     stable_rounds = 0
     for it in range(max_iter):
-        t0 = time.time()
         sigma = defaultdict(float)
         for v, c in comm.items():
             sigma[c] += k[v]
@@ -252,11 +236,6 @@ def _local_moving(
         )
         for r in moves:
             comm[r["id"]] = int(r["new_c"])
-        if verbose:
-            print(
-                f"[louvain] round {it} moved={len(moves)} ({time.time() - t0:.2f}s)",
-                file=sys.stderr,
-            )
         if moves:
             moved_any = True
             stable_rounds = 0

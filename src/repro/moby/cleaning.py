@@ -9,7 +9,7 @@ Removed entries:
 6. Locations never referenced by any (surviving) rental.
 
 All rule evaluation happens in Catalyst (joins/filters); only Table I
-counts are collected.
+counts are collected: one aggregation per table before and after.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ class CleanResult:
 
     locations: DataFrame
     rentals: DataFrame
-    stations: DataFrame  # cleaned locations with is_station (id, lat, lon, station_id)
+    stations: DataFrame  # cleaned stations (location_id, lat, lon, station_id)
     raw_stations: int
     raw_rentals: int
     raw_locations: int
@@ -51,11 +51,18 @@ def on_land(lat_col, lon_col):
     return ~sea
 
 
+def _location_counts(locations: DataFrame) -> tuple[int, int]:
+    """(#locations, #stations) in one pass over ``locations``."""
+    row = locations.agg(
+        F.count(F.lit(1)).alias("n"), F.count_if(F.col("is_station")).alias("st")
+    ).collect()[0]
+    return row["n"], row["st"]
+
+
 def clean(locations: DataFrame, rentals: DataFrame) -> CleanResult:
     """Apply all six rules and return cleaned tables + Table I counts."""
-    raw_locations = locations.count()
+    raw_locations, raw_stations = _location_counts(locations)
     raw_rentals = rentals.count()
-    raw_stations = locations.filter(F.col("is_station")).count()
 
     lat, lon = F.col("lat"), F.col("lon")
     good_loc = locations.filter(
@@ -95,6 +102,7 @@ def clean(locations: DataFrame, rentals: DataFrame) -> CleanResult:
     stations = loc_clean.filter(F.col("is_station")).select(
         "location_id", "lat", "lon", F.col("station_id").cast("long").alias("station_id")
     )
+    clean_locations, clean_stations = _location_counts(loc_clean)
     return CleanResult(
         locations=loc_clean,
         rentals=r,
@@ -102,7 +110,7 @@ def clean(locations: DataFrame, rentals: DataFrame) -> CleanResult:
         raw_stations=raw_stations,
         raw_rentals=raw_rentals,
         raw_locations=raw_locations,
-        clean_stations=stations.count(),
+        clean_stations=clean_stations,
         clean_rentals=r.count(),
-        clean_locations=loc_clean.count(),
+        clean_locations=clean_locations,
     )

@@ -4,7 +4,8 @@
 the Moby tables -> clean (Table I) -> HAC candidates (Table II) ->
 Algorithm 1 selection (Table III) -> Louvain on G_Basic/G_Day/G_Hour
 (Tables IV/V/VI). Each stage's outputs are exposed on the result object
-so tests and benchmarks can exercise them independently.
+so tests and ``perfbench/`` can exercise them independently;
+``jobs/run_all.py`` prints the tables of one run.
 """
 from __future__ import annotations
 
@@ -22,8 +23,7 @@ from repro.graph.builder import (
 )
 from repro.graph.graph import Graph
 from repro.hac.cluster import CandidateResult, build_candidates
-from repro.louvain.louvain import LouvainResult, index_vertices, louvain
-from repro.louvain.modularity import modularity
+from repro.louvain.louvain import index_vertices, louvain
 from repro.moby.cleaning import CleanResult, clean
 from repro.moby.generator import MobyConfig, MobyData, generate, paper_config
 from repro.stations.selection import SelectionResult, select_stations
@@ -54,7 +54,7 @@ class PipelineResult:
     communities: dict = field(default_factory=dict)  # granularity -> CommunityRun
 
 
-def louvain_groups(g: Graph, *, seed_cols=("id",), **kw) -> tuple[DataFrame, float]:
+def louvain_groups(g: Graph) -> tuple[DataFrame, float]:
     """Run Louvain on a graph whose vertex ids are strings (group ids):
     index to longs, detect, map back. Returns ((group_id, community), Q)."""
     idx = index_vertices(g.vertices).cache()
@@ -70,7 +70,7 @@ def louvain_groups(g: Graph, *, seed_cols=("id",), **kw) -> tuple[DataFrame, flo
         )
     )
     v = idx.select(F.col("idx").alias("id"))
-    res = louvain(Graph(v, e), **kw)
+    res = louvain(Graph(v, e))
     assignment = (
         res.assignment.withColumnRenamed("id", "idx")
         .join(idx, "idx")
@@ -87,7 +87,7 @@ def run_pipeline(
     data: MobyData | None = None,
 ) -> PipelineResult:
     """Execute the full paper pipeline. Pass ``data`` to reuse an already
-    generated dataset (benchmarks), else ``cfg`` controls generation."""
+    generated dataset (the benchmark does), else ``cfg`` controls generation."""
     data = data or generate(spark, cfg or paper_config())
     cleaned = clean(data.locations, data.rentals)
 
@@ -139,7 +139,7 @@ def run_communities(result: PipelineResult, granularity: str) -> CommunityRun:
         granularity=granularity,
         assignment=assignment,
         modularity=q,
-        n_communities=assignment.select("community").distinct().count(),
-        intra_share=intra_community_share(assignment, result.selected_trips),
+        n_communities=table.count(),
+        intra_share=intra_community_share(table),
         table=table,
     )

@@ -31,7 +31,6 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.geo import haversine_np, nearest_station
-from repro.graph.graph import Graph
 
 SECONDARY_DISTANCE_M = 250.0
 
@@ -83,8 +82,6 @@ def select_stations(
     trips: DataFrame,
     locations: DataFrame,
     assignment: DataFrame,
-    *,
-    secondary_distance_m: float = SECONDARY_DISTANCE_M,
 ) -> SelectionResult:
     """Run Algorithm 1.
 
@@ -108,7 +105,7 @@ def select_stations(
         cands.select(F.col("group_id").alias("location_id"), "lat", "lon"),
         stations.select("station_id", "lat", "lon"),
         out_col="ns",
-    ).filter(F.col("ns_dist_m") >= secondary_distance_m).select(
+    ).filter(F.col("ns_dist_m") >= SECONDARY_DISTANCE_M).select(
         F.col("location_id").alias("group_id")
     )
     survivors = (
@@ -118,7 +115,7 @@ def select_stations(
     )
     cand_pdf = survivors.toPandas()
     if len(cand_pdf):
-        keep = _suppress(cand_pdf, secondary_distance_m)
+        keep = _suppress(cand_pdf, SECONDARY_DISTANCE_M)
         sel_pdf = cand_pdf[keep].reset_index(drop=True)
     else:
         sel_pdf = cand_pdf

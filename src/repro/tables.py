@@ -2,8 +2,8 @@
 shaped like the table in the paper (plus the headline scalars around it).
 
 These functions consume a :class:`repro.pipeline.PipelineResult`, so a
-single pipeline run yields every table; ``jobs/`` wraps them for
-spark-submit and ``benchmarks/`` times them.
+single pipeline run yields every table; ``jobs/run_all.py`` prints them
+and ``perfbench/`` times Tables I-III.
 """
 from __future__ import annotations
 
@@ -82,54 +82,37 @@ def table3(result: PipelineResult) -> pd.DataFrame:
     """Table III — the selected graph: trips and directed edges split by
     pre-existing vs newly selected stations (From = by source station
     kind, To = by destination kind)."""
-    trips = result.selected_trips
     kinds = result.station_kinds
-    out = []
-    for label, col in (("from", "src_group"), ("to", "dst_group")):
-        t = (
-            trips.groupBy(col)
-            .agg(F.count(F.lit(1)).alias("trips"))
-            .join(kinds.withColumnRenamed("group_id", col), col)
-            .groupBy("is_new")
-            .agg(F.sum("trips").alias("trips"))
-            .collect()
-        )
-        trips_by = {bool(r["is_new"]): int(r["trips"]) for r in t}
-        pairs = trips.groupBy("src_group", "dst_group").count()
-        e = (
-            pairs.join(kinds.withColumnRenamed("group_id", col), col)
-            .groupBy("is_new")
-            .agg(F.count(F.lit(1)).alias("edges"))
-            .collect()
-        )
-        edges_by = {bool(r["is_new"]): int(r["edges"]) for r in e}
-        out.append((label, trips_by, edges_by))
+    rows = (
+        result.selected_trips.groupBy("src_group", "dst_group")
+        .agg(F.count(F.lit(1)).alias("trips"))
+        .join(kinds.select(F.col("group_id").alias("src_group"),
+                           F.col("is_new").alias("src_new")), "src_group")
+        .join(kinds.select(F.col("group_id").alias("dst_group"),
+                           F.col("is_new").alias("dst_new")), "dst_group")
+        .groupBy("src_new", "dst_new")
+        .agg(F.sum("trips").alias("trips"), F.count(F.lit(1)).alias("edges"))
+        .collect()
+    )
+    st_by = {bool(r["is_new"]): int(r["count"])
+             for r in kinds.groupBy("is_new").count().collect()}
 
-    st = kinds.groupBy("is_new").count().collect()
-    st_by = {bool(r["is_new"]): int(r["count"]) for r in st}
+    def split(is_new: bool, end: str, measure: str) -> int:
+        return sum(int(r[measure]) for r in rows if r[end] == is_new)
 
-    (f_label, f_trips, f_edges), (t_label, t_trips, t_edges) = out
-    rows = []
-    for kind, is_new in (("pre-existing", False), ("selected", True)):
-        rows.append(
-            {
-                "kind": kind,
-                "stations": st_by.get(is_new, 0),
-                "trips_from": f_trips.get(is_new, 0),
-                "trips_to": t_trips.get(is_new, 0),
-                "edges_from": f_edges.get(is_new, 0),
-                "edges_to": t_edges.get(is_new, 0),
-            }
-        )
-    total = {
-        "kind": "total",
-        "stations": sum(r["stations"] for r in rows),
-        "trips_from": sum(r["trips_from"] for r in rows),
-        "trips_to": sum(r["trips_to"] for r in rows),
-        "edges_from": sum(r["edges_from"] for r in rows),
-        "edges_to": sum(r["edges_to"] for r in rows),
-    }
-    return pd.DataFrame(rows + [total])
+    out = [
+        {
+            "kind": kind,
+            "stations": st_by.get(is_new, 0),
+            "trips_from": split(is_new, "src_new", "trips"),
+            "trips_to": split(is_new, "dst_new", "trips"),
+            "edges_from": split(is_new, "src_new", "edges"),
+            "edges_to": split(is_new, "dst_new", "edges"),
+        }
+        for kind, is_new in (("pre-existing", False), ("selected", True))
+    ]
+    total = {"kind": "total", **{c: sum(r[c] for r in out) for c in out[0] if c != "kind"}}
+    return pd.DataFrame(out + [total])
 
 
 def _community_pdf(result: PipelineResult, granularity: str) -> pd.DataFrame:

@@ -10,7 +10,6 @@ from pyspark.sql import functions as F
 
 from repro.graph.builder import (
     GRANULARITIES,
-    directed_weighted_edges,
     graph_stats,
     temporal_graph,
     trips_with_groups,
@@ -86,14 +85,6 @@ def test_graph_stats_hand_computed(rentals, assignment):
     assert s.undirected_edges == 2  # {A,B} + loop(A)
     assert s.undirected_edges_no_loops == 1
     assert s.n_trips == 4
-
-
-def test_directed_weighted_edges(rentals, assignment):
-    e = {
-        (r["src"], r["dst"]): r["weight"]
-        for r in directed_weighted_edges(trips_with_groups(rentals, assignment)).collect()
-    }
-    assert e == {("A", "B"): 1.0, ("B", "A"): 1.0, ("A", "A"): 2.0}
 
 
 def test_temporal_graph_rejects_unknown_granularity(rentals, assignment):

@@ -1,15 +1,20 @@
 """End-to-end pipeline invariants on the shared SF=0.05 run.
 
-Paper-scale shape (3/7/10 communities etc.) is checked at SF=1 by the
-benchmarks; here we assert the structural invariants that must hold at
-any scale.
+Paper-scale shape (3/7/10 communities etc.) is recorded at SF=1 in
+EXPERIMENTS.md; here we assert the structural invariants that must hold at
+any scale, and check the Table II/III counts against DuckDB.
 """
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 from pyspark.sql import functions as F
 
-from repro.graph.builder import GRANULARITIES
+from repro import tables
+from repro.graph.builder import GRANULARITIES, graph_stats
+from repro.oracle import assert_equivalent
+from repro.stations.selection import select_stations
 
 
 def test_trips_conserved_through_every_stage(pipeline_small):
@@ -61,6 +66,76 @@ def test_selection_threshold_is_min_station_degree(pipeline_small):
         .collect()[0][0]
     )
     assert r.selection.threshold == st_deg
+
+
+def test_selection_is_deterministic(pipeline_small):
+    """Algorithm 1 re-run on the pipeline's own inputs selects the same
+    stations and maps every location the same way."""
+    r = pipeline_small
+    again = select_stations(
+        r.candidates.groups, r.candidate_trips,
+        r.cleaned.locations, r.candidates.assignment,
+    )
+
+    def rows(df):
+        return {tuple(row) for row in df.collect()}
+
+    assert again.threshold == r.selection.threshold
+    assert rows(again.selected.select("group_id")) == rows(
+        r.selection.selected.select("group_id")
+    )
+    cols = ("location_id", "station_group", "is_new")
+    assert rows(again.final_assignment.select(*cols)) == rows(
+        r.selection.final_assignment.select(*cols)
+    )
+
+
+def test_graph_stats_oracle(spark, pipeline_small):
+    """Table II counts of the candidate graph against SQL over its trips."""
+    trips = pipeline_small.candidate_trips.select("src_group", "dst_group")
+    got = spark.createDataFrame([dataclasses.asdict(graph_stats(trips))])
+    sql = """
+    WITH pairs AS (SELECT DISTINCT src_group AS s, dst_group AS d FROM trips),
+    und AS (SELECT DISTINCT LEAST(s, d) AS a, GREATEST(s, d) AS b FROM pairs)
+    SELECT
+      (SELECT COUNT(*) FROM (SELECT src_group FROM trips
+                             UNION SELECT dst_group FROM trips)) AS n_nodes,
+      (SELECT COUNT(*) FROM und) AS undirected_edges,
+      (SELECT COUNT(*) FROM und WHERE a <> b) AS undirected_edges_no_loops,
+      (SELECT COUNT(*) FROM pairs) AS directed_edges,
+      (SELECT COUNT(*) FROM pairs WHERE s <> d) AS directed_edges_no_loops,
+      (SELECT COUNT(*) FROM trips) AS n_trips
+    """
+    assert_equivalent(got, sql, trips=trips)
+
+
+def test_table3_oracle(spark, pipeline_small):
+    """Table III's old/new split against SQL over the selected trips and
+    the station kinds (the total row is checked in test_tables)."""
+    r = pipeline_small
+    pdf = tables.table3(r)
+    got = spark.createDataFrame(pdf[pdf["kind"] != "total"])
+    sql = """
+    WITH t AS (
+      SELECT tr.src_group, tr.dst_group, ks.is_new AS src_new, kd.is_new AS dst_new
+      FROM trips tr
+      JOIN kinds ks ON tr.src_group = ks.group_id
+      JOIN kinds kd ON tr.dst_group = kd.group_id
+    ), e AS (SELECT DISTINCT * FROM t),
+    k AS (SELECT * FROM (VALUES ('pre-existing', false), ('selected', true)) v(kind, is_new))
+    SELECT k.kind AS kind,
+      (SELECT COUNT(*) FROM kinds WHERE is_new = k.is_new) AS stations,
+      (SELECT COUNT(*) FROM t WHERE src_new = k.is_new) AS trips_from,
+      (SELECT COUNT(*) FROM t WHERE dst_new = k.is_new) AS trips_to,
+      (SELECT COUNT(*) FROM e WHERE src_new = k.is_new) AS edges_from,
+      (SELECT COUNT(*) FROM e WHERE dst_new = k.is_new) AS edges_to
+    FROM k
+    """
+    assert_equivalent(
+        got, sql,
+        trips=r.selected_trips.select("src_group", "dst_group"),
+        kinds=r.station_kinds,
+    )
 
 
 def test_selected_are_far_from_stations_and_each_other(pipeline_small):
