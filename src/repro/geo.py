@@ -3,18 +3,19 @@
 The paper (eq. 1) measures all distances with the Haversine formula on a
 spherical Earth. Two implementations are provided: a Spark ``Column``
 expression (used inside joins/aggregations so distance math stays in
-Catalyst) and a vectorised numpy version (used inside ``applyInPandas``
-workers by the exact HAC and in tests as an independent check).
+Catalyst) and a vectorised numpy version (used on the driver by the HAC
+stage and in tests as an independent check).
 
-Also provided: a geo-grid bucketing scheme used to turn "all pairs within
-eps metres" into an equi-join on cell ids, and nearest-station assignment
-against a small station table.
+Also provided: a geo-grid bucketing scheme that finds "all pairs within
+eps metres" by comparing only neighbouring cells, and nearest-station
+assignment against a small station table.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
@@ -66,21 +67,39 @@ def cell_size_deg(eps_m: float, ref_lat_deg: float) -> tuple[float, float]:
     return dlat, dlon
 
 
-def with_grid_cell(df: DataFrame, *, eps_m: float) -> DataFrame:
-    """Attach integer grid coordinates ``cell_i``/``cell_j`` from the
-    ``lat``/``lon`` columns.
+def grid_cells(lat: np.ndarray, lon: np.ndarray, *, eps_m: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integer grid coordinates ``(cell_i, cell_j)`` of each point.
 
     Cell side is >= eps in both axes, so eps-neighbours are always in the
-    same cell or one of the 8 adjacent cells — the basis for the distributed
-    eps-proximity join in :mod:`repro.hac.proximity`. The longitude side is
-    sized at 54°N, north of all of Dublin, so the bound holds there.
+    same cell or one of the 8 adjacent cells — the basis of
+    :func:`eps_pairs`. The longitude side is sized at 54°N, north of all
+    of Dublin, so the bound holds there.
     """
     dlat, dlon = cell_size_deg(eps_m, ref_lat_deg=54.0)
-    return df.withColumn(
-        "cell_i", F.floor(F.col("lat") / F.lit(dlat)).cast("long")
-    ).withColumn(
-        "cell_j", F.floor(F.col("lon") / F.lit(dlon)).cast("long")
+    return np.floor(lat / dlat).astype(np.int64), np.floor(lon / dlon).astype(np.int64)
+
+
+def eps_pairs(lat: np.ndarray, lon: np.ndarray, *, eps_m: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(i, j)``, ``i < j``, of all points within ``eps_m``
+    metres of each other (:func:`haversine_np` distance), each unordered
+    pair once.
+
+    "All pairs within eps" as an equi-join on :func:`grid_cells`: each
+    point is replicated to its 3x3 cell neighbourhood and joined with the
+    points in their home cell, so only neighbouring cells are compared.
+    """
+    lat, lon = np.asarray(lat, float), np.asarray(lon, float)
+    ci, cj = grid_cells(lat, lon, eps_m=eps_m)
+    home = pd.DataFrame({"i": np.arange(len(lat)), "ci": ci, "cj": cj})
+    nbrs = pd.concat(
+        home.rename(columns={"i": "j"}).assign(ci=ci + di, cj=cj + dj)
+        for di in (-1, 0, 1) for dj in (-1, 0, 1)
     )
+    pairs = home.merge(nbrs, on=["ci", "cj"])
+    i, j = pairs["i"].to_numpy(), pairs["j"].to_numpy()
+    i, j = i[i < j], j[i < j]
+    close = haversine_np(lat[i], lon[i], lat[j], lon[j]) <= eps_m
+    return i[close], j[close]
 
 
 def nearest_station(

@@ -6,7 +6,6 @@ module provides the minimal property-graph layer the pipeline needs:
 
 - :class:`Graph` — ``vertices (id, ...)`` + ``edges (src, dst, weight, ...)``
 - symmetrisation (the paper's graphs are bidirectional)
-- connected components (see :mod:`repro.graph.components`)
 
 Conventions
 -----------

@@ -2,112 +2,136 @@
 
 Pipeline:
 
-1. **Pre-assignment** — any location within 50 m of a fixed station is
-   assigned to that station's group (nearest wins) and excluded from
-   clustering; stations are immovable group centroids.
-2. **eps decomposition** — the remaining locations are split into
-   connected components of the 100 m proximity graph (distributed grid
-   join + message-passing components). Complete-linkage clusters with
-   diameter <= 100 m are always subsets of such components, so this
-   decomposition is *lossless*.
-3. **Exact HAC** — complete-linkage clustering with the 100 m diameter
-   cutoff runs per component via ``applyInPandas``.
+1. **Pre-assignment** (Spark) — any location within 50 m of a fixed
+   station is assigned to that station's group (nearest wins) and
+   excluded from clustering; stations are immovable group centroids.
+   This nearest-station result, ``(location_id, lat, lon, ns, ns_dist_m)``,
+   is the only data collected to the driver.
+2. **eps decomposition** (driver) — the remaining ("free") locations are
+   split into connected components of the 100 m proximity graph: a numpy
+   grid finds the eps-pairs (:func:`repro.geo.eps_pairs`) and union-find
+   joins them. Complete-linkage clusters with diameter <= 100 m are
+   always subsets of such components, so this decomposition is
+   *lossless*.
+3. **Exact HAC** (driver) — complete-linkage clustering with the 100 m
+   diameter cutoff runs per component, on its points in ``location_id``
+   order, so labels do not depend on how Spark partitioned the input.
 4. **Centroids** — each candidate cluster is represented by the mean of
    its member coordinates; station groups by the station coordinate.
 
-Group ids: stations ``"S<station_id>"``, candidates ``"C<component>#<k>"``.
+Driver-side bound, for F free points in eps-components of n_c points:
+memory O(F + C) plus O(n_c^2) for the distance matrix of the component
+being clustered; time O(C + (F + E) log F + sum n_c^3). The grid
+compares the C pairs of points in neighbouring cells, E <= sum n_c^2 of
+them are eps-pairs for the union-find, and sum n_c^3 is the complete
+linkage. F is at most the number of cleaned locations.
+
+Group ids: stations ``"S<station_id>"``, candidates ``"C<component>#<k>"``,
+where ``<component>`` is the smallest ``location_id`` of the component.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.geo import nearest_station
-from repro.graph.components import connected_components
-from repro.graph.graph import Graph
+from repro.geo import eps_pairs, nearest_station
 from repro.hac.linkage import complete_linkage_labels
-from repro.hac.proximity import eps_edges
 
 PRE_ASSIGN_M = 50.0
 MAX_DIAMETER_M = 100.0
+
+ASSIGNMENT_SCHEMA = "location_id long, group_id string, kind string"
+GROUPS_SCHEMA = "group_id string, kind string, lat double, lon double, station_id long"
 
 
 @dataclass(frozen=True)
 class CandidateResult:
     """``assignment``: (location_id, group_id, kind[station|candidate]);
-    ``groups``: (group_id, kind, lat, lon, station_id nullable)."""
+    ``groups``: (group_id, kind, lat, lon, station_id nullable);
+    ``component_sizes``: eps-component size -> number of components."""
 
     assignment: DataFrame
     groups: DataFrame
+    component_sizes: dict[int, int]
+
+
+def min_label_components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Connected components of the graph on vertices ``0..n-1`` with edges
+    ``(i[k], j[k])``, by union-find with path halving; every union links
+    the larger root under the smaller, so a vertex's label is the smallest
+    vertex of its component. Time O((n + E) log n) for E edges."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in zip(i.tolist(), j.tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return np.array([find(x) for x in range(n)], dtype=np.int64)
 
 
 def build_candidates(locations: DataFrame, stations: DataFrame) -> CandidateResult:
     """Group every cleaned location into a station group or a candidate
     cluster. ``locations``: (location_id, lat, lon); ``stations``:
     (location_id, lat, lon, station_id)."""
-    pts = locations.select("location_id", "lat", "lon")
+    spark = locations.sparkSession
     st = stations.select("station_id", "lat", "lon")
-
-    near = nearest_station(pts, st, out_col="ns")
-    station_assigned = near.filter(F.col("ns_dist_m") <= PRE_ASSIGN_M).select(
-        "location_id",
-        F.concat(F.lit("S"), F.col("ns").cast("long")).alias("group_id"),
-        F.lit("station").alias("kind"),
+    near = (
+        nearest_station(locations.select("location_id", "lat", "lon"), st, out_col="ns")
+        .toPandas()
+        .sort_values("location_id", ignore_index=True)
     )
-    free = near.filter(F.col("ns_dist_m") > PRE_ASSIGN_M).select(
-        "location_id", "lat", "lon"
-    ).cache()
+    at_station = near["ns_dist_m"] <= PRE_ASSIGN_M
+    station_assigned = pd.DataFrame({
+        "location_id": near["location_id"][at_station],
+        "group_id": "S" + near["ns"][at_station].astype("int64").astype(str),
+        "kind": "station",
+    })
 
-    # eps-components of the free points
-    edges = eps_edges(free, eps_m=MAX_DIAMETER_M).select(
-        F.col("src"), F.col("dst"), F.lit(1.0).alias("weight")
-    )
-    verts = free.select(F.col("location_id").alias("id"))
-    comp = connected_components(Graph(verts, edges))
-    comp_pts = free.join(
-        comp.withColumnRenamed("id", "location_id"), "location_id"
-    )
-
-    def _cluster(pdf: pd.DataFrame) -> pd.DataFrame:
-        labels = complete_linkage_labels(
-            pdf["lat"].to_numpy(), pdf["lon"].to_numpy(),
-            max_diameter_m=MAX_DIAMETER_M,
+    free = near[~at_station].reset_index(drop=True)
+    ids, lat, lon = (free[c].to_numpy() for c in ("location_id", "lat", "lon"))
+    root = min_label_components(len(free), *eps_pairs(lat, lon, eps_m=MAX_DIAMETER_M))
+    _, sizes = np.unique(root, return_counts=True)
+    # Stable sort: each component's points stay in location_id order.
+    order = np.argsort(root, kind="stable")
+    k = np.empty(len(free), dtype=np.int64)
+    for members in np.split(order, np.cumsum(sizes)[:-1]):
+        k[members] = complete_linkage_labels(
+            lat[members], lon[members], max_diameter_m=MAX_DIAMETER_M
         )
-        comp_id = int(pdf["component"].iloc[0])
-        return pd.DataFrame(
-            {
-                "location_id": pdf["location_id"].to_numpy(),
-                "group_id": [f"C{comp_id}#{l}" for l in labels],
-            }
-        )
+    free["group_id"] = [f"C{c}#{l}" for c, l in zip(ids[root], k)]
+    free["kind"] = "candidate"
 
-    clustered = comp_pts.groupBy("component").applyInPandas(
-        _cluster, schema="location_id long, group_id string"
-    )
-    candidate_assigned = clustered.select(
-        "location_id", "group_id", F.lit("candidate").alias("kind")
-    )
-    # localCheckpoint (not cache): downstream stages reference this frame
-    # many times and nest it inside further joins — materialising here
-    # keeps their logical plans shallow (a cache does not truncate lineage).
-    assignment = station_assigned.unionByName(candidate_assigned).localCheckpoint()
+    # localCheckpoint: materialise both frames once on the executors;
+    # downstream stages read them many times inside further joins.
+    assignment = spark.createDataFrame(
+        pd.concat([station_assigned, free[["location_id", "group_id", "kind"]]]),
+        ASSIGNMENT_SCHEMA,
+    ).localCheckpoint()
 
     cand_groups = (
-        candidate_assigned.join(pts, "location_id")
-        .groupBy("group_id")
-        .agg(F.avg("lat").alias("lat"), F.avg("lon").alias("lon"))
-        .select(
-            "group_id", F.lit("candidate").alias("kind"), "lat", "lon",
-            F.lit(None).cast("long").alias("station_id"),
-        )
+        free.groupby(["group_id", "kind"], as_index=False)[["lat", "lon"]].mean()
+        .assign(station_id=None)
     )
     st_groups = st.select(
         F.concat(F.lit("S"), F.col("station_id").cast("long")).alias("group_id"),
         F.lit("station").alias("kind"), "lat", "lon",
         F.col("station_id").cast("long").alias("station_id"),
     )
-    groups = st_groups.unionByName(cand_groups).localCheckpoint()
-    return CandidateResult(assignment=assignment, groups=groups)
+    groups = st_groups.unionByName(
+        spark.createDataFrame(cand_groups, GROUPS_SCHEMA)
+    ).localCheckpoint()
+    size, count = np.unique(sizes, return_counts=True)
+    return CandidateResult(
+        assignment=assignment, groups=groups,
+        component_sizes=dict(zip(size.tolist(), count.tolist())),
+    )

@@ -1,7 +1,7 @@
 """Exact complete-linkage agglomerative clustering (numpy, no scipy).
 
-Used inside ``applyInPandas`` workers on one eps-connected component at a
-time, so ``n`` is small (tens to low hundreds); the O(n^3) worst case of
+Used on the driver on one eps-connected component at a time, so ``n``
+is small (at most 42 at SF=1); the O(n^3) worst case of
 the naive Lance-Williams update is irrelevant at that size and keeps the
 implementation dependency-free and auditable.
 

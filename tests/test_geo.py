@@ -1,5 +1,6 @@
 """Unit tests for repro.geo: Haversine (Spark + numpy), grid cells,
-nearest-station assignment."""
+nearest-station assignment. The eps-pair search is tested in
+test_proximity.py."""
 from __future__ import annotations
 
 import math
@@ -12,11 +13,11 @@ from pyspark.sql import functions as F
 from repro.geo import (
     EARTH_RADIUS_M,
     cell_size_deg,
+    grid_cells,
     haversine_col,
     haversine_np,
     nearest_station,
     pairwise_haversine_np,
-    with_grid_cell,
 )
 from repro.oracle import assert_equivalent
 
@@ -96,23 +97,15 @@ def test_cell_size_upper_bounds_eps(eps):
 
 
 @pytest.mark.parametrize("eps", [60.0, 100.0])
-def test_grid_cell_neighbours_cover_eps_pairs(spark, eps):
+def test_grid_cell_neighbours_cover_eps_pairs(eps):
     """Any pair within eps must be in the same or adjacent grid cell."""
     rng = np.random.default_rng(1)
     n = 300
-    pdf = pd.DataFrame(
-        {
-            "location_id": np.arange(n),
-            "lat": rng.uniform(53.30, 53.32, n),
-            "lon": rng.uniform(-6.28, -6.24, n),
-        }
-    )
-    cells = with_grid_cell(spark.createDataFrame(pdf), eps_m=eps).toPandas()
-    cells = cells.sort_values("location_id").reset_index(drop=True)
-    d = pairwise_haversine_np(pdf.lat.to_numpy(), pdf.lon.to_numpy())
+    lat = rng.uniform(53.30, 53.32, n)
+    lon = rng.uniform(-6.28, -6.24, n)
+    ci, cj = grid_cells(lat, lon, eps_m=eps)
+    d = pairwise_haversine_np(lat, lon)
     ii, jj = np.where((d <= eps) & (d > 0))
-    ci = cells.cell_i.to_numpy()
-    cj = cells.cell_j.to_numpy()
     assert (np.abs(ci[ii] - ci[jj]) <= 1).all()
     assert (np.abs(cj[ii] - cj[jj]) <= 1).all()
 

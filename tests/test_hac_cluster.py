@@ -1,6 +1,7 @@
 """End-to-end HAC candidate construction on constructed geometries:
 50 m pre-assignment, eps-component decomposition, exact per-component
-complete linkage, centroid computation."""
+complete linkage, centroid computation, degenerate inputs and the Spark
+job count."""
 from __future__ import annotations
 
 import numpy as np
@@ -22,30 +23,30 @@ def _pt(dx_m, dy_m):
     )
 
 
+def _frames(spark, pts, station_pts, partitions=None, seed=0):
+    """Spark (locations, stations) from (dx, dy) metre offsets; locations
+    are shuffled and, if ``partitions`` is set, repartitioned."""
+    loc = pd.DataFrame([_pt(*p) for p in pts], columns=["lat", "lon"])
+    loc.insert(0, "location_id", range(1, len(pts) + 1))
+    locations = spark.createDataFrame(
+        loc.sample(frac=1.0, random_state=seed), "location_id long, lat double, lon double"
+    )
+    if partitions:
+        locations = locations.repartition(partitions)
+    st = pd.DataFrame([_pt(*p) for p in station_pts], columns=["lat", "lon"])
+    st.insert(0, "station_id", range(7, 7 + len(station_pts)))
+    return locations, spark.createDataFrame(st)
+
+
 @pytest.fixture()
 def scene(spark):
-    """One station; one location 30 m from it (pre-assigned); a tight
-    cloud of 3 points ~40 m across 500 m away (one candidate cluster);
-    two points 150 m apart in the same eps-component? No — 150 m > 100 m
-    so they are separate components and separate clusters."""
-    station = _pt(0, 0)
-    near_station = _pt(30, 0)
-    cloud = [_pt(500, 0), _pt(520, 0), _pt(510, 25)]
-    pair = [_pt(-600, 0), _pt(-750, 0)]
-    pts = [near_station] + cloud + pair
-    locations = spark.createDataFrame(
-        pd.DataFrame(
-            {
-                "location_id": range(1, len(pts) + 1),
-                "lat": [p[0] for p in pts],
-                "lon": [p[1] for p in pts],
-            }
-        )
+    """One station (id 7); location 1 30 m from it (pre-assigned); a
+    tight cloud of 3 points ~40 m across 500 m away (one candidate
+    cluster); two points 150 m apart (> 100 m: separate components and
+    separate clusters)."""
+    return _frames(
+        spark, [(30, 0), (500, 0), (520, 0), (510, 25), (-600, 0), (-750, 0)], [(0, 0)]
     )
-    stations = spark.createDataFrame(
-        pd.DataFrame({"station_id": [7], "lat": [station[0]], "lon": [station[1]]})
-    )
-    return locations, stations
 
 
 def test_preassignment_and_clusters(scene):
@@ -133,3 +134,75 @@ def test_preassign_rule_on_generated_data(spark, cleaned_small):
             assert r["kind"] == "station"
         else:
             assert r["kind"] == "candidate"
+
+
+def _assignment(res):
+    return sorted(tuple(r) for r in res.assignment.collect())
+
+
+def _assert_schemas(res):
+    assert res.assignment.schema.simpleString() == (
+        "struct<location_id:bigint,group_id:string,kind:string>"
+    )
+    assert res.groups.schema.simpleString() == (
+        "struct<group_id:string,kind:string,lat:double,lon:double,station_id:bigint>"
+    )
+
+
+def test_assignment_independent_of_input_order(spark):
+    """Cluster labels k follow location_id order, not the order rows
+    arrive in: a chain 60 m apart is one eps-component that complete
+    linkage splits into several clusters."""
+    chain = [(1000 + 60 * t, 0) for t in range(7)] + [(1000 + 60 * t, 70) for t in range(7)]
+    runs = [
+        _assignment(build_candidates(*_frames(spark, chain, [(0, 0)], parts, seed)))
+        for parts, seed in ((1, 0), (7, 1), (3, 2))
+    ]
+    assert runs[0] == runs[1] == runs[2]
+    groups = {g for _, g, _ in runs[0]}
+    assert len({g.split("#")[0] for g in groups}) == 1  # one component
+    assert len(groups) >= 2  # ... split into several clusters
+
+
+def test_no_free_points(spark):
+    """Every location within 50 m of a station: no candidates, and
+    well-formed frames."""
+    res = build_candidates(*_frames(spark, [(10, 0), (0, 20), (-30, -30)], [(0, 0)]))
+    _assert_schemas(res)
+    assert _assignment(res) == [(i, "S7", "station") for i in (1, 2, 3)]
+    assert [r["group_id"] for r in res.groups.collect()] == ["S7"]
+    assert res.component_sizes == {}
+
+
+def test_one_free_point(spark):
+    res = build_candidates(*_frames(spark, [(10, 0), (500, 0)], [(0, 0)]))
+    _assert_schemas(res)
+    assert _assignment(res) == [(1, "S7", "station"), (2, "C2#0", "candidate")]
+    groups = {r["group_id"]: r for r in res.groups.collect()}
+    assert set(groups) == {"S7", "C2#0"}
+    assert groups["C2#0"]["station_id"] is None
+    assert (groups["C2#0"]["lat"], groups["C2#0"]["lon"]) == pytest.approx(_pt(500, 0))
+    assert res.component_sizes == {1: 1}
+
+
+def test_component_sizes_histogram(spark, cleaned_small):
+    """The sizes of the eps-components sum to the free-point count, and
+    their number is the number of distinct candidate components."""
+    res = build_candidates(cleaned_small.locations, cleaned_small.stations)
+    cand = res.assignment.filter(F.col("kind") == "candidate").toPandas()
+    sizes = res.component_sizes
+    assert sum(size * count for size, count in sizes.items()) == len(cand)
+    assert sum(sizes.values()) == cand["group_id"].str.split("#").str[0].nunique()
+
+
+def test_build_candidates_job_count(spark, cleaned_small):
+    """Only the nearest-station pre-assignment and the two checkpoints run
+    Spark jobs."""
+    sc = spark.sparkContext
+    group = "test_build_candidates_job_count"
+    sc.setJobGroup(group, group)
+    try:
+        build_candidates(cleaned_small.locations, cleaned_small.stations)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert len(sc.statusTracker().getJobIdsForGroup(group)) <= 8

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for the pure-numpy substrates:
-Haversine metric axioms, integer allocation, complete-linkage invariants,
+Haversine metric axioms, integer allocation, complete-linkage invariants
+and the losslessness of its eps-component decomposition,
 suppression invariants and reference-modularity bounds. These run without
 Spark, so they are cheap enough for many examples."""
 from __future__ import annotations
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geo import haversine_np, pairwise_haversine_np
+from repro.geo import eps_pairs, haversine_np, pairwise_haversine_np
+from repro.hac.cluster import min_label_components
 from repro.hac.linkage import complete_linkage_labels
 from repro.louvain.reference import louvain_ref, modularity_ref
 from repro.moby.generator import _largest_remainder
@@ -124,3 +126,35 @@ def test_suppress_result_is_independent_set(seed):
         )
         np.fill_diagonal(d, np.inf)
         assert (d >= 250.0).all()
+
+
+def _partition(labels, index):
+    """Clusters as a set of frozensets of ``index`` values."""
+    out: dict[int, set] = {}
+    for l, i in zip(labels.tolist(), index):
+        out.setdefault(l, set()).add(i)
+    return {frozenset(c) for c in out.values()}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=5))
+def test_linkage_on_union_of_components_is_lossless(seed, n_clouds):
+    """DESIGN §2: complete linkage over the union of several 100 m
+    eps-components gives the same clusters as linkage on each component
+    alone, so per-component HAC loses nothing."""
+    rng = np.random.default_rng(seed)
+    # clouds ~220 m apart and ~100-300 m across: they form one or several
+    # eps-components
+    n = rng.integers(1, 15, n_clouds)
+    lat = np.concatenate([53.33 + 0.002 * c + rng.normal(0, 0.0006, k) for c, k in enumerate(n)])
+    lon = np.concatenate([-6.27 + rng.normal(0, 0.0009, k) for k in n])
+    perm = rng.permutation(len(lat))
+    lat, lon = lat[perm], lon[perm]
+    comp = min_label_components(len(lat), *eps_pairs(lat, lon, eps_m=100.0))
+
+    whole = _partition(complete_linkage_labels(lat, lon, max_diameter_m=100.0), range(len(lat)))
+    apart = set()
+    for c in np.unique(comp):
+        m = np.flatnonzero(comp == c)
+        apart |= _partition(complete_linkage_labels(lat[m], lon[m], max_diameter_m=100.0), m.tolist())
+    assert whole == apart

@@ -1,57 +1,58 @@
-"""Distributed eps-proximity graph vs brute-force all-pairs."""
+"""Grid eps-pair search (``repro.geo.eps_pairs``) vs brute-force all-pairs.
+Pure numpy, no Spark."""
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pytest
 
-from repro.geo import pairwise_haversine_np
-from repro.hac.proximity import eps_edges
+from repro.geo import M_PER_DEG_LAT, cell_size_deg, eps_pairs, pairwise_haversine_np
 
 
-def _brute(pdf, eps):
-    d = pairwise_haversine_np(pdf.lat.to_numpy(), pdf.lon.to_numpy())
-    ids = pdf.location_id.to_numpy()
-    out = set()
-    n = len(pdf)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d[i, j] <= eps:
-                a, b = int(ids[i]), int(ids[j])
-                out.add((min(a, b), max(a, b)))
-    return out
+def _brute(lat, lon, eps):
+    d = pairwise_haversine_np(lat, lon)
+    i, j = np.nonzero(np.triu(d <= eps, k=1))
+    return set(zip(i.tolist(), j.tolist()))
+
+
+def _cloud(seed, eps, n=200):
+    """Random points, plus points on grid-cell borders and pairs about
+    eps apart across a border (some just inside eps, some just outside)."""
+    rng = np.random.default_rng(seed)
+    lat = rng.uniform(53.33, 53.345, n)
+    lon = rng.uniform(-6.28, -6.255, n)
+    dlat, dlon = cell_size_deg(eps, ref_lat_deg=54.0)
+    k = np.arange(np.ceil(53.33 / dlat), np.ceil(53.33 / dlat) + 6)
+    m = np.arange(np.ceil(-6.28 / dlon), np.ceil(-6.28 / dlon) + 6)
+    border_lat, border_lon = k * dlat, m * dlon
+    far = 1000 * dlon  # the eps pairs sit far east of the cloud and borders
+    apart_lat = np.concatenate([
+        border_lat, border_lat + eps / M_PER_DEG_LAT, np.nextafter(border_lat, 0.0) + dlat,
+    ])
+    apart_lon = np.tile(m * dlon + far, 3)
+    return (
+        np.concatenate([lat, border_lat, np.full(6, lat[0]), apart_lat]),
+        np.concatenate([lon, np.full(6, lon[0]), border_lon, apart_lon]),
+    )
 
 
 @pytest.mark.parametrize("seed,eps", [(0, 100.0), (1, 100.0), (2, 60.0), (3, 250.0)])
-def test_eps_edges_match_brute_force(spark, seed, eps):
-    rng = np.random.default_rng(seed)
-    n = 200
-    pdf = pd.DataFrame(
-        {
-            "location_id": rng.permutation(np.arange(1, n + 1)),
-            "lat": rng.uniform(53.33, 53.345, n),
-            "lon": rng.uniform(-6.28, -6.255, n),
-        }
-    )
-    got = {
-        (int(r["src"]), int(r["dst"]))
-        for r in eps_edges(spark.createDataFrame(pdf), eps_m=eps).collect()
-    }
-    assert got == _brute(pdf, eps)
+def test_eps_edges_match_brute_force(seed, eps):
+    lat, lon = _cloud(seed, eps)
+    perm = np.random.default_rng(seed).permutation(len(lat))
+    lat, lon = lat[perm], lon[perm]
+    i, j = eps_pairs(lat, lon, eps_m=eps)
+    got = set(zip(i.tolist(), j.tolist()))
+    assert len(got) == len(i)  # each unordered pair once
+    assert got == _brute(lat, lon, eps)
 
 
-def test_eps_edges_distances_are_exact(spark):
-    pdf = pd.DataFrame(
-        {"location_id": [1, 2], "lat": [53.3000, 53.3004], "lon": [-6.26, -6.26]}
-    )
-    rows = eps_edges(spark.createDataFrame(pdf), eps_m=100.0).collect()
-    assert len(rows) == 1
-    # 0.0004 deg lat = ~44.5 m
-    assert rows[0]["dist_m"] == pytest.approx(44.48, abs=0.1)
+def test_eps_edges_no_self_pairs():
+    i, j = eps_pairs(np.full(3, 53.3), np.full(3, -6.26), eps_m=100.0)
+    assert (i < j).all()
+    assert len(i) == 3  # all coincident pairs, each once
 
 
-def test_eps_edges_no_self_pairs(spark):
-    pdf = pd.DataFrame({"location_id": [1, 2, 3], "lat": [53.3] * 3, "lon": [-6.26] * 3})
-    rows = eps_edges(spark.createDataFrame(pdf), eps_m=100.0).collect()
-    assert all(r["src"] < r["dst"] for r in rows)
-    assert len(rows) == 3  # all coincident pairs, each once
+@pytest.mark.parametrize("n", [0, 1])
+def test_eps_pairs_fewer_than_two_points(n):
+    i, j = eps_pairs(np.full(n, 53.3), np.full(n, -6.26), eps_m=100.0)
+    assert len(i) == len(j) == 0
