@@ -1,5 +1,6 @@
 """Run the reproduction once and print the requested paper tables plus the
-headline scalars — the script that generates the numbers recorded in
+headline scalars, the Algorithm 1 funnel and the HAC component-size
+histogram — the script that generates the numbers recorded in
 EXPERIMENTS.md.
 
     spark-submit jobs/run_all.py [--sf 1.0] [--seed 10] [--tables table1,table4]
@@ -51,6 +52,9 @@ def main() -> None:
         print(f"\n=== {name} ===")
         print(getattr(tables, name)(result).to_string(index=False))
     print("\nheadline:", tables.headline(result))
+    print("Algorithm 1 funnel:",
+          " -> ".join(f"{step} {n}" for step, n in result.selection.funnel.items()))
+    print("HAC eps-component sizes (size: count):", result.candidates.component_sizes)
     # Figure 5 / Figure 7 data (not tables; printed for completeness)
     if "day" in result.communities:
         print("\n=== day profile (fig 5 data, G_Day) ===")

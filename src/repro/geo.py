@@ -1,10 +1,9 @@
 """Geospatial primitives shared by every stage of the pipeline.
 
 The paper (eq. 1) measures all distances with the Haversine formula on a
-spherical Earth. Two implementations are provided: a Spark ``Column``
-expression (used inside joins/aggregations so distance math stays in
-Catalyst) and a vectorised numpy version (used on the driver by the HAC
-stage and in tests as an independent check).
+spherical Earth, here vectorised in numpy: every distance of the pipeline
+is computed on the driver, where the HAC and Algorithm 1 stages hold
+their (small) point and station tables.
 
 Also provided: a geo-grid bucketing scheme that finds "all pairs within
 eps metres" by comparing only neighbouring cells, and nearest-station
@@ -16,27 +15,15 @@ import math
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column, DataFrame
-from pyspark.sql import functions as F
 
 EARTH_RADIUS_M = 6_371_000.0
 
 #: Metres per degree of latitude (constant on a sphere).
 M_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
 
-
-def haversine_col(lat1: Column, lon1: Column, lat2: Column, lon2: Column) -> Column:
-    """Haversine distance in metres as a Spark SQL column expression (eq. 1).
-
-    ``d = 2R asin(sqrt(sin^2(dphi/2) + cos(phi1) cos(phi2) sin^2(dlambda/2)))``
-    """
-    phi1, phi2 = F.radians(lat1), F.radians(lat2)
-    dphi = F.radians(lat2 - lat1) / 2.0
-    dlmb = F.radians(lon2 - lon1) / 2.0
-    a = F.sin(dphi) ** 2 + F.cos(phi1) * F.cos(phi2) * F.sin(dlmb) ** 2
-    # Clamp for numerical noise at antipodal/identical points.
-    a = F.least(F.greatest(a, F.lit(0.0)), F.lit(1.0))
-    return 2.0 * EARTH_RADIUS_M * F.asin(F.sqrt(a))
+#: Points per block of :func:`nearest_np`: the driver holds one
+#: block x stations distance matrix at a time, never points x stations.
+NEAREST_BLOCK = 256
 
 
 def haversine_np(
@@ -102,39 +89,32 @@ def eps_pairs(lat: np.ndarray, lon: np.ndarray, *, eps_m: float) -> tuple[np.nda
     return i[close], j[close]
 
 
-def nearest_station(
-    points: DataFrame,
-    stations: DataFrame,
-    *,
-    out_col: str = "nearest_station_id",
-) -> DataFrame:
-    """Assign every point to its nearest station (Haversine argmin).
+def nearest_np(
+    lat: np.ndarray, lon: np.ndarray,
+    st_id: np.ndarray, st_lat: np.ndarray, st_lon: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest station of every point (Haversine argmin): ``(ids, dist_m)``,
+    the station id and the distance in metres, one per point.
 
-    ``points`` needs ``(location_id, lat, lon)``; ``stations`` needs
-    ``(station_id, lat, lon)``. The station table is tiny (92–238 rows in
-    the paper), so we explicitly broadcast it — the Spark session disables
-    automatic broadcast to exercise shuffles elsewhere, but a 238-row
-    dimension table is the textbook broadcast case.
-
-    Returns ``points`` columns + ``out_col`` + ``<out_col>_dist_m``.
-    Ties break on the smaller station id so the result is deterministic.
+    Exact ties go to the smaller station id (lexicographic for string
+    ids): the stations are sorted by id and the argmin takes the first
+    minimum. Points are processed in blocks of :data:`NEAREST_BLOCK`.
+    Raises ``ValueError`` when there is no station, as a point then has
+    no nearest station.
     """
-    st = F.broadcast(
-        stations.select(
-            F.col("station_id").alias("__st_id"),
-            F.col("lat").alias("__st_lat"),
-            F.col("lon").alias("__st_lon"),
-        )
-    )
-    d = haversine_col(F.col("lat"), F.col("lon"), F.col("__st_lat"), F.col("__st_lon"))
-    joined = points.crossJoin(st).withColumn("__dist", d)
-    best = joined.groupBy("location_id").agg(
-        F.min(F.struct(F.col("__dist"), F.col("__st_id"))).alias("__best")
-    )
-    return (
-        points.join(best, on="location_id")
-        .withColumn(out_col, F.col("__best.__st_id"))
-        .withColumn(f"{out_col}_dist_m", F.col("__best.__dist"))
-        .drop("__best")
-    )
-
+    st_id = np.asarray(st_id)
+    if len(st_id) == 0:
+        raise ValueError("no stations: cannot assign points to a nearest station")
+    order = np.argsort(st_id, kind="stable")
+    st_id = st_id[order]
+    st_lat = np.asarray(st_lat, float)[order][None, :]
+    st_lon = np.asarray(st_lon, float)[order][None, :]
+    lat, lon = np.asarray(lat, float), np.asarray(lon, float)
+    best = np.empty(len(lat), dtype=np.int64)
+    dist = np.empty(len(lat))
+    for s in range(0, len(lat), NEAREST_BLOCK):
+        block = slice(s, s + NEAREST_BLOCK)
+        d = haversine_np(lat[block, None], lon[block, None], st_lat, st_lon)
+        best[block] = d.argmin(axis=1)
+        dist[block] = d[np.arange(len(d)), best[block]]
+    return st_id[best], dist

@@ -2,11 +2,11 @@
 
 Pipeline:
 
-1. **Pre-assignment** (Spark) — any location within 50 m of a fixed
-   station is assigned to that station's group (nearest wins) and
-   excluded from clustering; stations are immovable group centroids.
-   This nearest-station result, ``(location_id, lat, lon, ns, ns_dist_m)``,
-   is the only data collected to the driver.
+1. **Pre-assignment** (driver) — the locations and the stations are
+   collected once; any location within 50 m of a fixed station is
+   assigned to that station's group (nearest wins,
+   :func:`repro.geo.nearest_np`) and excluded from clustering; stations
+   are immovable group centroids.
 2. **eps decomposition** (driver) — the remaining ("free") locations are
    split into connected components of the 100 m proximity graph: a numpy
    grid finds the eps-pairs (:func:`repro.geo.eps_pairs`) and union-find
@@ -19,12 +19,14 @@ Pipeline:
 4. **Centroids** — each candidate cluster is represented by the mean of
    its member coordinates; station groups by the station coordinate.
 
-Driver-side bound, for F free points in eps-components of n_c points:
-memory O(F + C) plus O(n_c^2) for the distance matrix of the component
-being clustered; time O(C + (F + E) log F + sum n_c^3). The grid
-compares the C pairs of points in neighbouring cells, E <= sum n_c^2 of
-them are eps-pairs for the union-find, and sum n_c^3 is the complete
-linkage. F is at most the number of cleaned locations.
+Driver-side bound, for L locations, S stations and F free points in
+eps-components of n_c points: memory O(L + C) plus O(block x S) for the
+nearest-station kernel and O(n_c^2) for the distance matrix of the
+component being clustered; time O(L.S + C + (F + E) log F + sum n_c^3).
+The kernel compares every location with every station, the grid compares
+the C pairs of points in neighbouring cells, E <= sum n_c^2 of them are
+eps-pairs for the union-find, and sum n_c^3 is the complete linkage.
+F is at most L.
 
 Group ids: stations ``"S<station_id>"``, candidates ``"C<component>#<k>"``,
 where ``<component>`` is the smallest ``location_id`` of the component.
@@ -36,9 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.geo import eps_pairs, nearest_station
+from repro.geo import eps_pairs, nearest_np
 from repro.hac.linkage import complete_linkage_labels
 
 PRE_ASSIGN_M = 50.0
@@ -84,11 +85,14 @@ def build_candidates(locations: DataFrame, stations: DataFrame) -> CandidateResu
     cluster. ``locations``: (location_id, lat, lon); ``stations``:
     (location_id, lat, lon, station_id)."""
     spark = locations.sparkSession
-    st = stations.select("station_id", "lat", "lon")
+    st = stations.select("station_id", "lat", "lon").toPandas()
     near = (
-        nearest_station(locations.select("location_id", "lat", "lon"), st, out_col="ns")
+        locations.select("location_id", "lat", "lon")
         .toPandas()
         .sort_values("location_id", ignore_index=True)
+    )
+    near["ns"], near["ns_dist_m"] = nearest_np(
+        near["lat"], near["lon"], st["station_id"], st["lat"], st["lon"]
     )
     at_station = near["ns_dist_m"] <= PRE_ASSIGN_M
     station_assigned = pd.DataFrame({
@@ -118,17 +122,17 @@ def build_candidates(locations: DataFrame, stations: DataFrame) -> CandidateResu
         ASSIGNMENT_SCHEMA,
     ).localCheckpoint()
 
+    st_groups = pd.DataFrame({
+        "group_id": "S" + st["station_id"].astype("int64").astype(str),
+        "kind": "station", "lat": st["lat"], "lon": st["lon"],
+        "station_id": st["station_id"],
+    })
     cand_groups = (
         free.groupby(["group_id", "kind"], as_index=False)[["lat", "lon"]].mean()
         .assign(station_id=None)
     )
-    st_groups = st.select(
-        F.concat(F.lit("S"), F.col("station_id").cast("long")).alias("group_id"),
-        F.lit("station").alias("kind"), "lat", "lon",
-        F.col("station_id").cast("long").alias("station_id"),
-    )
-    groups = st_groups.unionByName(
-        spark.createDataFrame(cand_groups, GROUPS_SCHEMA)
+    groups = spark.createDataFrame(
+        pd.concat([st_groups, cand_groups]), GROUPS_SCHEMA
     ).localCheckpoint()
     size, count = np.unique(sizes, return_counts=True)
     return CandidateResult(

@@ -107,9 +107,9 @@ def run_pipeline(
         "location_id", F.col("station_group").alias("group_id")
     )
     selected_trips = trips_with_groups(cleaned.rentals, final_assign).localCheckpoint()
-    station_kinds = selection.final_assignment.select(
-        F.col("station_group").alias("group_id"), "is_new"
-    ).distinct().localCheckpoint()
+    station_kinds = spark.createDataFrame(
+        selection.stations[["group_id", "is_new"]], "group_id string, is_new boolean"
+    )
 
     result = PipelineResult(
         data=data,

@@ -4,9 +4,8 @@ and the test suite's ``spark`` fixture.
 The settings are the ones ``perfbench/`` measures: 16 shuffle partitions
 (the data is small, so more partitions only add scheduling overhead),
 Arrow for ``toPandas``/``createDataFrame``, and automatic broadcast joins
-off so the joins exercise the shuffle path; the nearest-station join
-broadcasts its tiny station table explicitly (``repro.geo``). Master and
-driver memory are left to ``spark-submit``/``PYSPARK_SUBMIT_ARGS``.
+off so the joins exercise the shuffle path. Master and driver memory are
+left to ``spark-submit``/``PYSPARK_SUBMIT_ARGS``.
 """
 from __future__ import annotations
 

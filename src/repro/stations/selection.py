@@ -12,14 +12,20 @@ Rules:
    candidate.
 
 Degrees are computed on the candidate graph in Spark (weighted in+out
-degree = trips touching the group, self-trips counted twice). The greedy
-suppression loop (Algorithm 1 lines 10-16) runs on the driver over the
-collected candidate list — provably small (1,080 rows in the paper), and
+degree = trips touching the group, self-trips counted twice) and
+collected once with the groups table; everything else runs on the driver:
+the threshold, the 250 m rule against the stations
+(:func:`repro.geo.nearest_np`), and the greedy suppression loop
+(Algorithm 1 lines 10-16) — provably small (1,080 rows in the paper), and
 the loop is inherently sequential.
 
 After selection, every location of an unselected candidate is reassigned
 to the nearest of the (old + new) stations, so total trips are conserved
 (paper: "All trips from non-selected stations were redirected...").
+
+Driver-side bound, for L locations, G groups, S old + new stations and n
+candidates of which ``kept`` survive: memory O(L + G) plus O(block x S)
+for the nearest-station kernel; time O(L.S + n.kept).
 """
 from __future__ import annotations
 
@@ -30,9 +36,12 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.geo import haversine_np, nearest_station
+from repro.geo import haversine_np, nearest_np
 
 SECONDARY_DISTANCE_M = 250.0
+
+SELECTED_SCHEMA = "group_id string, lat double, lon double, degree double"
+FINAL_SCHEMA = "location_id long, station_group string, is_new boolean"
 
 
 @dataclass(frozen=True)
@@ -40,12 +49,16 @@ class SelectionResult:
     """``selected``: (group_id, lat, lon, degree) of the new stations;
     ``threshold``: the degree threshold used; ``final_assignment``:
     (location_id, station_group, is_new) mapping every location to one of
-    the old+new stations."""
+    the old+new stations; ``stations``: pandas (group_id, lat, lon, is_new)
+    of the old+new stations; ``funnel``: candidates left after each step
+    of Algorithm 1, in order."""
 
     selected: DataFrame
     threshold: float
     final_assignment: DataFrame
     n_selected: int
+    stations: pd.DataFrame
+    funnel: dict[str, int]
 
 
 def group_degrees(trips: DataFrame) -> DataFrame:
@@ -90,72 +103,64 @@ def select_stations(
     ``locations``: cleaned locations (location_id, lat, lon);
     ``assignment``: location_id -> group_id/kind from the HAC stage.
     """
-    deg = group_degrees(trips)
-    g = candidate_groups.join(deg, "group_id", "left").fillna({"degree": 0.0})
-    stations = g.filter(F.col("kind") == "station").cache()
-    cands = g.filter(F.col("kind") == "candidate")
-
-    threshold = float(
-        stations.agg(F.min("degree").alias("t")).collect()[0]["t"] or 0.0
-    )
-
-    # Rule 3 + Rule 4 (vs fixed stations) in Spark, then the sequential
-    # suppression loop on the driver.
-    far_from_station = nearest_station(
-        cands.select(F.col("group_id").alias("location_id"), "lat", "lon"),
-        stations.select("station_id", "lat", "lon"),
-        out_col="ns",
-    ).filter(F.col("ns_dist_m") >= SECONDARY_DISTANCE_M).select(
-        F.col("location_id").alias("group_id")
-    )
-    survivors = (
-        cands.filter(F.col("degree") >= threshold)
-        .join(far_from_station, "group_id", "left_semi")
-        .select("group_id", "lat", "lon", "degree")
-    )
-    cand_pdf = survivors.toPandas()
-    if len(cand_pdf):
-        keep = _suppress(cand_pdf, SECONDARY_DISTANCE_M)
-        sel_pdf = cand_pdf[keep].reset_index(drop=True)
-    else:
-        sel_pdf = cand_pdf
     spark = candidate_groups.sparkSession
-    schema = "group_id string, lat double, lon double, degree double"
-    selected = spark.createDataFrame(sel_pdf, schema=schema).cache()
+    g = (
+        candidate_groups.join(group_degrees(trips), "group_id", "left")
+        .fillna({"degree": 0.0})
+        .select("group_id", "kind", "lat", "lon", "degree")
+        .toPandas()
+        .sort_values("group_id", ignore_index=True)
+    )
+    stations = g[g["kind"] == "station"]
+    cands = g[g["kind"] == "candidate"]
+
+    # Rule 3, then Rule 4 against the fixed stations, then the sequential
+    # suppression loop.
+    _, st_dist = nearest_np(
+        cands["lat"], cands["lon"], stations["group_id"], stations["lat"], stations["lon"]
+    )
+    threshold = float(stations["degree"].min())
+    strong = (cands["degree"] >= threshold).to_numpy()
+    far = strong & (st_dist >= SECONDARY_DISTANCE_M)
+    survivors = cands[far]
+    sel = survivors[_suppress(survivors, SECONDARY_DISTANCE_M)][
+        ["group_id", "lat", "lon", "degree"]
+    ]
+    funnel = {
+        "candidates": len(cands),
+        "degree >= threshold": int(strong.sum()),
+        f">= {SECONDARY_DISTANCE_M:g} m from stations": int(far.sum()),
+        "after suppression": len(sel),
+    }
 
     # --- final location -> station mapping ------------------------------
-    all_stations = (
-        stations.select("group_id", "lat", "lon", F.lit(False).alias("is_new"))
-        .unionByName(selected.select("group_id", "lat", "lon", F.lit(True).alias("is_new")))
-        .cache()
+    all_stations = pd.concat([
+        stations[["group_id", "lat", "lon"]].assign(is_new=False),
+        sel[["group_id", "lat", "lon"]].assign(is_new=True),
+    ], ignore_index=True)
+    loc = (
+        assignment.join(locations.select("location_id", "lat", "lon"), "location_id")
+        .select("location_id", "group_id", "lat", "lon")
+        .toPandas()
     )
-    kept_groups = all_stations.select("group_id")
-    keep_assign = assignment.join(kept_groups, "group_id", "left_semi").select(
-        "location_id", F.col("group_id").alias("station_group")
-    )
-    orphaned = assignment.join(kept_groups, "group_id", "left_anti").select(
-        "location_id"
-    )
-    reassigned = nearest_station(
-        orphaned.join(locations.select("location_id", "lat", "lon"), "location_id"),
-        all_stations.select(F.col("group_id").alias("station_id"), "lat", "lon"),
-        out_col="ns",
-    ).select("location_id", F.col("ns").alias("station_group"))
+    station_group = loc["group_id"].to_numpy(dtype=object, copy=True)
+    orphaned = ~loc["group_id"].isin(all_stations["group_id"]).to_numpy()
+    station_group[orphaned] = nearest_np(
+        loc["lat"][orphaned], loc["lon"][orphaned],
+        all_stations["group_id"], all_stations["lat"], all_stations["lon"],
+    )[0]
+    final = pd.DataFrame({
+        "location_id": loc["location_id"],
+        "station_group": station_group,
+        "is_new": np.isin(station_group, sel["group_id"]),
+    })
     # localCheckpoint: this frame is joined against the rental table twice
     # per downstream graph build — keep its plan flat.
-    final = (
-        keep_assign.unionByName(reassigned)
-        .join(
-            all_stations.select(
-                F.col("group_id").alias("station_group"), "is_new"
-            ),
-            "station_group",
-        )
-        .localCheckpoint()
-    )
     return SelectionResult(
-        selected=selected,
+        selected=spark.createDataFrame(sel, SELECTED_SCHEMA),
         threshold=threshold,
-        final_assignment=final,
-        n_selected=selected.count(),
+        final_assignment=spark.createDataFrame(final, FINAL_SCHEMA).localCheckpoint(),
+        n_selected=len(sel),
+        stations=all_stations,
+        funnel=funnel,
     )

@@ -1,6 +1,5 @@
-"""Unit tests for repro.geo: Haversine (Spark + numpy), grid cells,
-nearest-station assignment. The eps-pair search is tested in
-test_proximity.py."""
+"""Unit tests for repro.geo: Haversine, grid cells, the nearest-station
+kernel. The eps-pair search is tested in test_proximity.py."""
 from __future__ import annotations
 
 import math
@@ -8,15 +7,14 @@ import math
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.geo import (
     EARTH_RADIUS_M,
+    NEAREST_BLOCK,
     cell_size_deg,
     grid_cells,
-    haversine_col,
     haversine_np,
-    nearest_station,
+    nearest_np,
     pairwise_haversine_np,
 )
 from repro.oracle import assert_equivalent
@@ -44,35 +42,6 @@ def _ref_haversine(lat1, lon1, lat2, lon2):
 def test_haversine_np_known(lat1, lon1, lat2, lon2, expected):
     got = haversine_np(np.array([lat1]), np.array([lon1]), np.array([lat2]), np.array([lon2]))
     assert got[0] == pytest.approx(expected, abs=0.5)
-
-
-@pytest.mark.parametrize("lat1,lon1,lat2,lon2,expected", KNOWN)
-def test_haversine_col_known(spark, lat1, lon1, lat2, lon2, expected):
-    df = spark.createDataFrame([(lat1, lon1, lat2, lon2)], "a double, b double, c double, d double")
-    got = df.select(
-        haversine_col(F.col("a"), F.col("b"), F.col("c"), F.col("d")).alias("d_m")
-    ).collect()[0]["d_m"]
-    assert got == pytest.approx(expected, abs=0.5)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_haversine_col_matches_np_random(spark, seed):
-    rng = np.random.default_rng(seed)
-    n = 50
-    pdf = pd.DataFrame(
-        {
-            "lat1": rng.uniform(53.2, 53.45, n), "lon1": rng.uniform(-6.5, -6.1, n),
-            "lat2": rng.uniform(53.2, 53.45, n), "lon2": rng.uniform(-6.5, -6.1, n),
-        }
-    )
-    expected = haversine_np(pdf.lat1.to_numpy(), pdf.lon1.to_numpy(), pdf.lat2.to_numpy(), pdf.lon2.to_numpy())
-    got = (
-        spark.createDataFrame(pdf)
-        .select(haversine_col(F.col("lat1"), F.col("lon1"), F.col("lat2"), F.col("lon2")).alias("d"))
-        .toPandas()["d"].to_numpy()
-    )
-    # row order is preserved for a single narrow partition-parallel select
-    np.testing.assert_allclose(np.sort(got), np.sort(expected), rtol=1e-9)
 
 
 def test_pairwise_matches_scalar_reference():
@@ -110,42 +79,53 @@ def test_grid_cell_neighbours_cover_eps_pairs(eps):
     assert (np.abs(cj[ii] - cj[jj]) <= 1).all()
 
 
-def test_nearest_station_matches_numpy(spark):
+def test_nearest_station_matches_numpy():
+    """nearest_np against a brute-force argmin over the full points x
+    stations matrix, at sizes on both sides of every block boundary."""
     rng = np.random.default_rng(2)
-    pts = pd.DataFrame(
-        {
-            "location_id": np.arange(100),
-            "lat": rng.uniform(53.28, 53.40, 100),
-            "lon": rng.uniform(-6.4, -6.15, 100),
-        }
-    )
-    st = pd.DataFrame(
-        {
-            "station_id": np.arange(1, 8),
-            "lat": rng.uniform(53.28, 53.40, 7),
-            "lon": rng.uniform(-6.4, -6.15, 7),
-        }
-    )
-    got = (
-        nearest_station(spark.createDataFrame(pts), spark.createDataFrame(st))
-        .toPandas().sort_values("location_id").reset_index(drop=True)
-    )
-    d = haversine_np(
-        pts.lat.to_numpy()[:, None], pts.lon.to_numpy()[:, None],
-        st.lat.to_numpy()[None, :], st.lon.to_numpy()[None, :],
-    )
-    expected_station = st.station_id.to_numpy()[np.argmin(d, axis=1)]
-    np.testing.assert_array_equal(got["nearest_station_id"].to_numpy(), expected_station)
-    np.testing.assert_allclose(got["nearest_station_id_dist_m"].to_numpy(), d.min(axis=1), rtol=1e-9)
+    st_id = rng.permutation(np.arange(1, 8))
+    st_lat, st_lon = rng.uniform(53.28, 53.40, 7), rng.uniform(-6.4, -6.15, 7)
+    for n in (0, 1, NEAREST_BLOCK - 1, NEAREST_BLOCK, NEAREST_BLOCK + 1):
+        lat, lon = rng.uniform(53.28, 53.40, n), rng.uniform(-6.4, -6.15, n)
+        ids, dist = nearest_np(lat, lon, st_id, st_lat, st_lon)
+        d = haversine_np(lat[:, None], lon[:, None], st_lat[None, :], st_lon[None, :])
+        assert ids.shape == dist.shape == (n,)
+        np.testing.assert_array_equal(ids, st_id[np.argmin(d, axis=1)])
+        np.testing.assert_array_equal(dist, d.min(axis=1))
+
+
+@pytest.mark.parametrize(
+    "ids,winner",
+    # The first two stations share a position, the loser listed first;
+    # string ids compare lexicographically ("S20" < "S3").
+    [([20, 3, 9], 3), (["S3", "S20", "S9"], "S20")],
+    ids=["int", "str"],
+)
+def test_nearest_np_tie_goes_to_smaller_id(ids, winner):
+    st_lat, st_lon = [53.30, 53.30, 53.40], [-6.30, -6.30, -6.20]
+    n = NEAREST_BLOCK + 1
+    got, _ = nearest_np(np.full(n, 53.301), np.full(n, -6.301), ids, st_lat, st_lon)
+    assert (got == winner).all()
+
+
+def test_nearest_np_no_stations_raises():
+    with pytest.raises(ValueError, match="no stations"):
+        nearest_np(np.array([53.3]), np.array([-6.3]), np.array([]), np.array([]), np.array([]))
 
 
 def test_nearest_station_oracle(spark):
-    """Cross-check the min-struct argmin idiom against DuckDB."""
-    pts = pd.DataFrame({"location_id": [1, 2], "lat": [53.30, 53.35], "lon": [-6.30, -6.25]})
-    st = pd.DataFrame({"station_id": [10, 20], "lat": [53.31, 53.36], "lon": [-6.31, -6.26]})
-    got = nearest_station(spark.createDataFrame(pts), spark.createDataFrame(st)).select(
-        "location_id", F.col("nearest_station_id").alias("sid")
-    )
+    """Cross-check the kernel's argmin (ties: smaller id) against DuckDB."""
+    rng = np.random.default_rng(3)
+    pts = pd.DataFrame({
+        "location_id": np.arange(300),
+        "lat": rng.uniform(53.28, 53.40, 300), "lon": rng.uniform(-6.4, -6.15, 300),
+    })
+    st = pd.DataFrame({
+        "station_id": [40, 10, 20, 30],
+        "lat": [53.31, 53.31, 53.36, 53.30], "lon": [-6.31, -6.31, -6.26, -6.20],
+    })
+    sid, _ = nearest_np(pts.lat, pts.lon, st.station_id, st.lat, st.lon)
+    got = spark.createDataFrame(pd.DataFrame({"location_id": pts.location_id, "sid": sid}))
     sql = """
     SELECT p.location_id AS location_id,
            (SELECT s.station_id FROM st s

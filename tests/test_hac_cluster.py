@@ -120,20 +120,16 @@ def test_cluster_diameter_rule_on_generated_data(spark, cleaned_small):
 def test_preassign_rule_on_generated_data(spark, cleaned_small):
     """Every location within 50 m of a station is station-assigned, and
     every candidate-assigned location is > 50 m from all stations."""
-    from repro.geo import nearest_station
-
     res = build_candidates(cleaned_small.locations, cleaned_small.stations)
-    near = nearest_station(
-        cleaned_small.locations.select("location_id", "lat", "lon"),
-        cleaned_small.stations.select("station_id", "lat", "lon"),
-        out_col="ns",
-    ).select("location_id", "ns_dist_m")
-    joined = res.assignment.join(near, "location_id").collect()
-    for r in joined:
-        if r["ns_dist_m"] <= 50.0:
-            assert r["kind"] == "station"
-        else:
-            assert r["kind"] == "candidate"
+    loc = cleaned_small.locations.toPandas()
+    st = cleaned_small.stations.toPandas()
+    d = haversine_np(
+        loc.lat.to_numpy()[:, None], loc.lon.to_numpy()[:, None],
+        st.lat.to_numpy()[None, :], st.lon.to_numpy()[None, :],
+    ).min(axis=1)
+    kind = res.assignment.toPandas().set_index("location_id")["kind"]
+    expected = np.where(d <= 50.0, "station", "candidate")
+    np.testing.assert_array_equal(kind.loc[loc.location_id].to_numpy(), expected)
 
 
 def _assignment(res):
@@ -195,9 +191,16 @@ def test_component_sizes_histogram(spark, cleaned_small):
     assert sum(sizes.values()) == cand["group_id"].str.split("#").str[0].nunique()
 
 
+def test_no_stations_raises(spark):
+    """Without stations no location has a nearest station: fail loudly
+    instead of dropping every location."""
+    locations, stations = _frames(spark, [(10, 0), (500, 0)], [(0, 0)])
+    with pytest.raises(ValueError, match="no stations"):
+        build_candidates(locations, stations.limit(0))
+
+
 def test_build_candidates_job_count(spark, cleaned_small):
-    """Only the nearest-station pre-assignment and the two checkpoints run
-    Spark jobs."""
+    """Only the two collects and the two checkpoints run Spark jobs."""
     sc = spark.sparkContext
     group = "test_build_candidates_job_count"
     sc.setJobGroup(group, group)
@@ -205,4 +208,4 @@ def test_build_candidates_job_count(spark, cleaned_small):
         build_candidates(cleaned_small.locations, cleaned_small.stations)
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
-    assert len(sc.statusTracker().getJobIdsForGroup(group)) <= 8
+    assert len(sc.statusTracker().getJobIdsForGroup(group)) <= 5

@@ -1,5 +1,6 @@
 """Algorithm 1 (station ranking & selection): degree threshold, 250 m
-rules, greedy suppression and trip-conserving reassignment."""
+rules, greedy suppression, trip-conserving reassignment, the funnel,
+degenerate inputs and the Spark job count."""
 from __future__ import annotations
 
 import numpy as np
@@ -175,6 +176,8 @@ def test_select_stations_applies_all_rules(scenario):
     assert res.threshold == 4.0
     selected = {r["group_id"] for r in res.selected.collect()}
     assert selected == {"Ca"}
+    # Clow fails rule 3, Cnear rule 4, Cb the suppression.
+    assert list(res.funnel.values()) == [4, 3, 2, 1]
 
 
 def test_select_stations_reassigns_orphans_to_nearest(scenario):
@@ -188,3 +191,61 @@ def test_select_stations_reassigns_orphans_to_nearest(scenario):
     assert fa[6] == ("Ca", True)  # Cb 200m from Ca
     # every location still mapped exactly once: trips conserved
     assert len(fa) == 6
+
+
+def test_no_candidate_survives(spark, scenario):
+    """Every candidate below the threshold: no new station, and every
+    location of a candidate goes to its nearest old station."""
+    groups, _, locs, assignment = scenario
+    trips = _trips_df(spark, [("S1", "S2")] * 20 + [("Ca", "Cb")] * 2)
+    res = select_stations(groups, trips, locs, assignment)
+    assert res.threshold == 20.0
+    assert res.selected.count() == 0 and res.n_selected == 0
+    assert list(res.funnel.values()) == [4, 0, 0, 0]
+    assert set(res.stations["group_id"]) == {"S1", "S2"}
+    fa = res.final_assignment.toPandas().sort_values("location_id")
+    assert fa["location_id"].tolist() == [1, 2, 3, 4, 5, 6]
+    assert not fa["is_new"].any()
+    loc = locs.toPandas().sort_values("location_id")
+    st = groups.toPandas().query("kind == 'station'")
+    d = haversine_np(loc.lat.to_numpy()[:, None], loc.lon.to_numpy()[:, None],
+                     st.lat.to_numpy()[None, :], st.lon.to_numpy()[None, :])
+    assert fa["station_group"].tolist() == st.group_id.to_numpy()[d.argmin(axis=1)].tolist()
+
+
+def test_no_stations_raises(spark, scenario):
+    """Without stations there is no threshold and nowhere to reassign
+    orphaned locations: fail loudly instead of dropping them."""
+    groups, trips, locs, assignment = scenario
+    with pytest.raises(ValueError, match="no stations"):
+        select_stations(groups.filter(F.col("kind") == "candidate"), trips, locs, assignment)
+
+
+# --- on the pipeline's own inputs (SF=0.05) ------------------------------
+
+def test_funnel_on_pipeline(pipeline_small):
+    """The Algorithm 1 funnel starts at the HAC candidates, never grows,
+    and ends at the selected stations."""
+    r = pipeline_small
+    counts = list(r.selection.funnel.values())
+    assert len(counts) == 4
+    assert counts == sorted(counts, reverse=True)
+    assert counts[0] == r.candidates.groups.filter(F.col("kind") == "candidate").count()
+    assert counts[-1] == r.selection.n_selected == r.selection.selected.count()
+
+
+def test_select_stations_job_count(spark, pipeline_small):
+    """Only the two collects (groups with degrees, locations with their
+    groups) and the final checkpoint run Spark jobs."""
+    r = pipeline_small
+    sc = spark.sparkContext
+    group = "test_select_stations_job_count"
+    sc.setJobGroup(group, group)
+    try:
+        select_stations(
+            r.candidates.groups, r.candidate_trips,
+            r.cleaned.locations, r.candidates.assignment,
+        )
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert len(sc.statusTracker().getJobIdsForGroup(group)) <= 8
